@@ -2,7 +2,8 @@
 //! vendored shims, because the workspace takes no external dependencies.
 //!
 //! Only what `pt-serve` and the load generator need: request parsing with
-//! `Content-Length` bodies, plain and chunked response writing, and a
+//! `Content-Length` bodies, plain responses and chunked response heads
+//! (the chunks themselves are framed by [`crate::sink`]), and a
 //! client-side response reader. No TLS, no compression, no trailers, no
 //! HTTP/2. Keep-alive is supported (HTTP/1.1 default) so one connection
 //! can carry a whole load-generation session.
@@ -216,8 +217,36 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a complete plain (`Content-Length`-framed) response. Extra headers
-/// are emitted verbatim.
+/// The header section of a response, as bytes: `Content-Length: n` when
+/// `length` is `Some(n)`, `Transfer-Encoding: chunked` when it is `None`.
+/// Extra headers are emitted verbatim.
+fn head(
+    status: u16,
+    content_type: &str,
+    length: Option<usize>,
+    extra_headers: &[(String, String)],
+) -> Vec<u8> {
+    let mut head = Vec::with_capacity(128);
+    let _ = write!(
+        head,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n",
+        reason(status)
+    );
+    match length {
+        Some(n) => {
+            let _ = write!(head, "Content-Length: {n}\r\n");
+        }
+        None => head.extend_from_slice(b"Transfer-Encoding: chunked\r\n"),
+    }
+    for (name, value) in extra_headers {
+        let _ = write!(head, "{name}: {value}\r\n");
+    }
+    head.extend_from_slice(b"\r\n");
+    head
+}
+
+/// Write a complete plain (`Content-Length`-framed) response, head and
+/// body in one write. Extra headers are emitted verbatim.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -225,53 +254,21 @@ pub fn write_response(
     extra_headers: &[(String, String)],
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
-        reason(status),
-        body.len()
-    )?;
-    for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
+    let mut out = head(status, content_type, Some(body.len()), extra_headers);
+    out.extend_from_slice(body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
-/// Write the header section of a chunked response; the body follows as
-/// chunks (see [`write_chunk`] / [`finish_chunks`]).
-pub fn write_chunked_head(
-    stream: &mut impl Write,
+/// The header section of a chunked response, as bytes. The body follows
+/// as chunks: hand the head to [`crate::sink::ChunkedXmlSink::with_head`],
+/// which sends it in the same write as the first chunk.
+pub fn chunked_head(
     status: u16,
     content_type: &str,
     extra_headers: &[(String, String)],
-) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\n",
-        reason(status)
-    )?;
-    for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")
-}
-
-/// Write one non-empty chunk.
-pub fn write_chunk(stream: &mut impl Write, data: &[u8]) -> io::Result<()> {
-    if data.is_empty() {
-        return Ok(());
-    }
-    write!(stream, "{:x}\r\n", data.len())?;
-    stream.write_all(data)?;
-    stream.write_all(b"\r\n")
-}
-
-/// Terminate a chunked body.
-pub fn finish_chunks(stream: &mut impl Write) -> io::Result<()> {
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+) -> Vec<u8> {
+    head(status, content_type, None, extra_headers)
 }
 
 /// A client-side response: status, headers, de-chunked body. Used by the
@@ -363,6 +360,8 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<Response, RequestError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::ChunkedXmlSink;
+    use pt_xmltree::{Tree, XmlWriter};
     use std::io::Cursor;
 
     /// A loopback stream: reads from a canned buffer, writes to a sink.
@@ -440,23 +439,26 @@ mod tests {
         write_response(&mut out, 404, "text/plain", &[], b"missing").unwrap();
         let resp = read_response(&mut Cursor::new(out)).unwrap();
         assert_eq!(resp.status, 404);
+        assert_eq!(resp.header("content-length"), Some("7"));
         assert_eq!(resp.body, b"missing");
-        // chunked
-        let mut out = Vec::new();
-        write_chunked_head(
-            &mut out,
+        // chunked, through the sink that frames the server's documents
+        let doc = Tree::node("db", vec![Tree::leaf("course")]);
+        let mut xml = XmlWriter::new();
+        assert!(doc.stream_to(&mut xml));
+        let head = chunked_head(
             200,
             "application/xml",
             &[("X-Db-Version".to_string(), "3".to_string())],
-        )
-        .unwrap();
-        write_chunk(&mut out, b"<db>").unwrap();
-        write_chunk(&mut out, b"</db>").unwrap();
-        finish_chunks(&mut out).unwrap();
+        );
+        let mut out = Vec::new();
+        let mut sink = ChunkedXmlSink::with_head(&mut out, head);
+        assert!(doc.stream_to(&mut sink));
+        sink.finish().unwrap();
         let resp = read_response(&mut Cursor::new(out)).unwrap();
         assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("transfer-encoding"), Some("chunked"));
         assert_eq!(resp.header("x-db-version"), Some("3"));
-        assert_eq!(resp.body, b"<db></db>");
+        assert_eq!(resp.body, xml.into_string().into_bytes());
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! The pieces:
 //!
 //! - [`http`] — minimal HTTP/1.1 framing: request parsing (keep-alive,
-//!   `Expect: 100-continue`, bounded bodies), `Content-Length` and
-//!   chunked response writing, and a client-side response reader for the
-//!   harness and tests.
+//!   `Expect: 100-continue`, bounded bodies), `Content-Length` responses
+//!   and chunked response heads, each sent in one write, and a
+//!   client-side response reader for the harness and tests.
 //! - [`spec`] — the line-oriented wire formats: view specs (schema +
 //!   rules + optional DTD) and deltas (insert/retract rows).
 //! - [`sink`] — [`sink::ChunkedXmlSink`], the [`pt_xmltree::XmlEventSink`]
-//!   that renders events straight into HTTP chunks on the socket, and the
+//!   that renders events straight into HTTP chunks on the socket (one
+//!   write per chunk, the head riding with the first), and the
 //!   structured [`sink::StreamStop`] reason (budget trip vs client
 //!   disconnect).
 //! - [`server`] — [`server::Server`]: tenants, the LRU plan cache,

@@ -190,7 +190,8 @@ impl Server {
         self.inner.requests.load(Ordering::Relaxed)
     }
 
-    /// Streams cut short by the client hanging up.
+    /// Responses lost to the client hanging up: streams cut short by a
+    /// failed write, and responses the peer reset after they left.
     pub fn client_disconnects(&self) -> usize {
         self.inner.disconnects.load(Ordering::Relaxed)
     }
@@ -332,7 +333,10 @@ fn handle_connection(inner: &Inner, stream: TcpStream) -> io::Result<()> {
             };
             match http::read_request(&mut rw) {
                 Ok(req) => req,
-                Err(RequestError::Eof) => return Ok(()),
+                Err(RequestError::Eof) => {
+                    count_reset(inner, &writer, None);
+                    return Ok(());
+                }
                 Err(RequestError::Io(e))
                     if matches!(
                         e.kind(),
@@ -344,7 +348,10 @@ fn handle_connection(inner: &Inner, stream: TcpStream) -> io::Result<()> {
                     }
                     continue;
                 }
-                Err(RequestError::Io(_)) => return Ok(()),
+                Err(RequestError::Io(e)) => {
+                    count_reset(inner, &writer, Some(e));
+                    return Ok(());
+                }
                 Err(RequestError::Malformed(msg)) => {
                     // framing is gone; answer and drop
                     let _ = respond(&mut writer, 400, &err_body(&msg), true);
@@ -358,6 +365,20 @@ fn handle_connection(inner: &Inner, stream: TcpStream) -> io::Result<()> {
             ConnAction::KeepAlive => continue,
             ConnAction::Close => return Ok(()),
         }
+    }
+}
+
+/// Count a response the peer discarded. A response that leaves in one
+/// write usually lands in the kernel before the client's reset does, so
+/// the loss shows up only afterwards: as a reset on the next read, or as
+/// the socket's pending error behind an end of stream.
+fn count_reset(inner: &Inner, stream: &TcpStream, read_error: Option<io::Error>) {
+    let reset = match read_error {
+        Some(e) => e.kind() == io::ErrorKind::ConnectionReset,
+        None => matches!(stream.take_error(), Ok(Some(_))),
+    };
+    if reset {
+        inner.disconnects.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -587,11 +608,10 @@ fn stream_view(
     if closing {
         headers.push(("Connection".to_string(), "close".to_string()));
     }
-    if http::write_chunked_head(w, 200, "application/xml", &headers).is_err() {
-        inner.disconnects.fetch_add(1, Ordering::Relaxed);
-        return ConnAction::Close;
-    }
-    let sink = ChunkedXmlSink::new(&mut *w);
+    // the head leaves with the first chunk: a failed write of it is a
+    // client disconnect like any other
+    let head = http::chunked_head(200, "application/xml", &headers);
+    let sink = ChunkedXmlSink::with_head(&mut *w, head);
     let mut guarded = Guarded::new(sink, max_events, max_depth);
     run.stream_output(&mut guarded);
     let reason = guarded.truncation_reason();

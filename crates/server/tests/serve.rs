@@ -5,6 +5,7 @@
 
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pt_core::examples::registrar;
 use pt_core::Engine;
@@ -166,6 +167,62 @@ fn mid_stream_disconnect_does_not_poison_the_session() {
     let r = call_once(addr, "GET", "/tenants/t/views/tau1", "").unwrap();
     assert_eq!(r.status, 200);
     assert_eq!(r.body, oracle);
+    server.shutdown();
+}
+
+/// The `disconnects` counter off `/stats`.
+fn stats_disconnects(addr: SocketAddr) -> usize {
+    let r = call_once(addr, "GET", "/stats", "").expect("stats call");
+    let body = String::from_utf8(r.body).unwrap();
+    let tail = &body[body.find("\"disconnects\":").expect("disconnects field") + 14..];
+    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+#[test]
+fn client_gone_before_a_small_view_counts_as_a_disconnect() {
+    let server = boot();
+    let addr = server.local_addr();
+    register(addr, "t", "tau1", samples::tau1_spec());
+    assert_eq!(
+        post_delta(addr, "t", samples::registrar_delta()).status,
+        200
+    );
+    let oracle = oracle_bytes(
+        &Engine::new(registrar::registrar_instance()),
+        &registrar::tau1(),
+    );
+    // the whole response (head, one chunk, terminator) leaves in one write
+    assert!(
+        oracle.len() < pt_server::sink::CHUNK_SIZE,
+        "{}",
+        oracle.len()
+    );
+    assert_eq!(stats_disconnects(addr), 0);
+
+    // ask for the view and hang up without reading a byte
+    {
+        use std::io::Write;
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        s.write_all(b"GET /tenants/t/views/tau1 HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats_disconnects(addr) == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the lost response was never counted"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(stats_disconnects(addr), 1);
+    assert_eq!(server.client_disconnects(), 1);
+
+    // a fresh connection is served the complete document
+    let r = call_once(addr, "GET", "/tenants/t/views/tau1", "").unwrap();
+    assert_eq!(r.status, 200);
+    assert_eq!(r.body, oracle);
+    assert_eq!(server.client_disconnects(), 1);
     server.shutdown();
 }
 

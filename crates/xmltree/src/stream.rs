@@ -21,7 +21,7 @@
 use std::fmt;
 
 use crate::dtd::{ContentModel, Dtd};
-use crate::tree::escape;
+use crate::tree::{push_close, push_escaped, push_pad};
 use crate::xdtd::ExtendedDtd;
 use crate::Tree;
 
@@ -107,17 +107,28 @@ impl XmlEventSink for TreeBuilder {
 /// element, without ever holding the document.
 ///
 /// Empty elements render self-closed (`<a/>`); a single pending open is
-/// buffered to decide that, everything earlier is already in the output.
+/// held back to decide that, everything earlier is already in the output.
 /// A `Close` whose tag does not match the innermost open element marks
 /// the writer malformed and truncates the stream (like [`TreeBuilder`])
 /// instead of writing a wrong tag.
+///
+/// Rendering allocates nothing per event: padding, tags and text go
+/// straight into the output buffer, and pcdata is escaped with a scan
+/// that copies text free of `&`, `<` and `>` in one piece. The open tags
+/// (and the pending one) live in one string arena with a stack of start
+/// offsets, so a close is a truncation. Once the buffer and the arena have
+/// grown to the document's widest chunk and deepest path, a stream costs
+/// no allocation at all.
 #[derive(Default)]
 pub struct XmlWriter {
     out: String,
-    /// Open elements already written, innermost last.
-    open: Vec<String>,
-    /// An `Open` whose first child has not arrived yet.
-    pending: Option<String>,
+    /// The open tags back to back, outermost first; the last one is the
+    /// pending open when `pending` is set.
+    tags: String,
+    /// Where each tag in `tags` starts.
+    starts: Vec<usize>,
+    /// The last tag is an `Open` whose first child has not arrived yet.
+    pending: bool,
     malformed: bool,
 }
 
@@ -150,11 +161,25 @@ impl XmlWriter {
         std::mem::take(&mut self.out)
     }
 
+    /// Discard the text written so far but keep the buffer's capacity and
+    /// the element stack: the allocation-free form of [`XmlWriter::take`]
+    /// for adapters that copy [`XmlWriter::as_str`] out themselves.
+    pub fn clear(&mut self) {
+        self.out.clear();
+    }
+
+    /// The innermost tag in the arena.
+    fn top(&self) -> Option<&str> {
+        self.starts.last().map(|&i| &self.tags[i..])
+    }
+
     fn flush_pending(&mut self) {
-        if let Some(tag) = self.pending.take() {
-            let pad = "  ".repeat(self.open.len());
-            self.out.push_str(&format!("{pad}<{tag}>\n"));
-            self.open.push(tag);
+        if std::mem::take(&mut self.pending) {
+            let depth = self.starts.len() - 1;
+            push_pad(&mut self.out, depth);
+            self.out.push('<');
+            self.out.push_str(&self.tags[self.starts[depth]..]);
+            self.out.push_str(">\n");
         }
     }
 }
@@ -167,28 +192,31 @@ impl XmlEventSink for XmlWriter {
         match ev {
             XmlEvent::Open(tag) => {
                 self.flush_pending();
-                self.pending = Some(tag.to_string());
+                self.starts.push(self.tags.len());
+                self.tags.push_str(tag);
+                self.pending = true;
             }
             XmlEvent::Text(text) => {
                 self.flush_pending();
-                let pad = "  ".repeat(self.open.len());
-                self.out.push_str(&format!("{pad}{}\n", escape(text)));
+                push_pad(&mut self.out, self.starts.len());
+                push_escaped(&mut self.out, text);
+                self.out.push('\n');
             }
-            XmlEvent::Close(tag) => match self.pending.take() {
-                // no child arrived: the element is empty
-                Some(open) if open == tag => {
-                    let pad = "  ".repeat(self.open.len());
-                    self.out.push_str(&format!("{pad}<{tag}/>\n"));
+            XmlEvent::Close(tag) if self.top() != Some(tag) => self.malformed = true,
+            XmlEvent::Close(tag) => {
+                if let Some(start) = self.starts.pop() {
+                    self.tags.truncate(start);
                 }
-                Some(_) => self.malformed = true,
-                None => match self.open.pop() {
-                    Some(open) if open == tag => {
-                        let pad = "  ".repeat(self.open.len());
-                        self.out.push_str(&format!("{pad}</{tag}>\n"));
-                    }
-                    _ => self.malformed = true,
-                },
-            },
+                push_pad(&mut self.out, self.starts.len());
+                if std::mem::take(&mut self.pending) {
+                    // no child arrived: the element is empty
+                    self.out.push('<');
+                    self.out.push_str(tag);
+                    self.out.push_str("/>\n");
+                } else {
+                    push_close(&mut self.out, tag);
+                }
+            }
         }
         !self.malformed
     }

@@ -106,39 +106,68 @@ impl Tree {
     }
 
     fn write_xml(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
+        push_pad(out, indent);
         if let Some(text) = &self.pcdata {
-            out.push_str(&format!("{pad}{}\n", escape(text)));
+            push_escaped(out, text);
+            out.push('\n');
             return;
         }
+        out.push('<');
+        out.push_str(&self.label);
         if self.children.is_empty() {
-            out.push_str(&format!("{pad}<{}/>\n", self.label));
+            out.push_str("/>\n");
             return;
         }
         // single text child renders inline: <cno>c1</cno>
-        if self.children.len() == 1 {
-            if let Some(text) = self.children[0].pcdata() {
-                out.push_str(&format!(
-                    "{pad}<{}>{}</{}>\n",
-                    self.label,
-                    escape(text),
-                    self.label
-                ));
+        if let [only] = self.children.as_slice() {
+            if let Some(text) = only.pcdata() {
+                out.push('>');
+                push_escaped(out, text);
+                push_close(out, &self.label);
                 return;
             }
         }
-        out.push_str(&format!("{pad}<{}>\n", self.label));
+        out.push_str(">\n");
         for c in &self.children {
             c.write_xml(out, indent + 1);
         }
-        out.push_str(&format!("{pad}</{}>\n", self.label));
+        push_pad(out, indent);
+        push_close(out, &self.label);
     }
 }
 
-pub(crate) fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
+/// Append `depth` levels of two-space indentation.
+pub(crate) fn push_pad(out: &mut String, depth: usize) {
+    const SPACES: &str = "                                                                ";
+    let mut n = 2 * depth;
+    while n > 0 {
+        let k = n.min(SPACES.len());
+        out.push_str(&SPACES[..k]);
+        n -= k;
+    }
+}
+
+/// Append `</tag>` and a newline.
+pub(crate) fn push_close(out: &mut String, tag: &str) {
+    out.push_str("</");
+    out.push_str(tag);
+    out.push_str(">\n");
+}
+
+/// Append `s` with `&`, `<` and `>` escaped. Text with none of them (the
+/// common case) is copied in one piece after a byte scan.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| matches!(b, b'&' | b'<' | b'>')) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            _ => "&gt;",
+        });
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
 }
 
 impl fmt::Debug for Tree {
