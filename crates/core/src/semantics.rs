@@ -26,6 +26,36 @@
 //! [`PreparedTransducer`](crate::PreparedTransducer) and persists across
 //! its runs.
 //!
+//! Memoization must respect the stop condition, the only place where an
+//! expansion looks at its *ancestor path*: the expansion of configuration
+//! `c` under ancestors `S` is a deterministic function of `c` and of
+//! `S ∩ F`, where the *footprint* `F` holds every configuration of the
+//! expansion whose own subtree contains a stopped leaf (a stopped leaf
+//! counts itself). Each memo entry records its footprint and `S ∩ F` at
+//! expansion time, and is reused only under a path with the same
+//! intersection. Two cases make this cheap:
+//!
+//! * A *stop-free* entry — no stopped leaf anywhere below — has an empty
+//!   footprint, stores none, and matches under any ancestor path.
+//! * A *cyclic* entry keeps only the configurations whose subtree holds a
+//!   stopped leaf, not every configuration it met, and memo hits share the
+//!   footprint by [`Arc`] instead of copying it into the parent's.
+//!
+//! This is exact, not an approximation. Suppose an ancestor `x` of `c`
+//! occurs in `c`'s subtree. The route `x → … → c` that put `c` under `x`
+//! consists of rule steps, which do not depend on the path, so inside the
+//! subtree the occurrence of `x` unfolds the same route down to `c` — where
+//! `c` is stopped, being the subtree's own root — unless a stop cuts the
+//! route earlier. Either way a stopped leaf sits below that occurrence of
+//! `x`, so `x ∈ F`: the ancestors that meet the full set of configurations
+//! of the subtree are exactly those that meet `F`, and every reuse
+//! decision is the one the full set would make. The stop check runs
+//! *before* the memo lookup, on the path set: a configuration on the path
+//! is sealed without scanning its expanded entries (by the same argument
+//! each holds the configuration in its footprint but not in its recorded
+//! intersection, so none could match), and its stopped leaf is built once
+//! and then shared.
+//!
 //! # Publish-or-wait: one owner per cold slot
 //!
 //! Concurrent runs (and the worker threads of one parallel run) share the
@@ -48,17 +78,6 @@
 //! a memo hit — so totals, and hence `NodeLimit` behavior, are
 //! schedule-independent.
 //!
-//! Memoization must respect the stop condition, which consults the
-//! *ancestor path*: an expansion of configuration `c` is a deterministic
-//! function of `c` and of `S ∩ E`, where `S` is the set of ancestor
-//! configurations and `E` is the expansion's *footprint* (every
-//! configuration encountered inside it — those are the only ancestors the
-//! stop condition can ever compare against). Each memo entry records its
-//! footprint and the ancestor intersection it was computed under, and is
-//! reused only when the current path has the same intersection. In the
-//! common case the intersection is empty and every entry is shared
-//! globally.
-//!
 //! # Symbolic registers end-to-end
 //!
 //! In the default [`ExpansionMode::Dag`], registers never leave the
@@ -67,7 +86,10 @@
 //! [`pt_relational::SymRegister`]s (flat `u32` symbol rows), child
 //! registers are produced directly from [`pt_logic::Query::groups_sym`] as
 //! symbol rows, and the register is indexed for its rule-item queries
-//! without re-interning a single value. The memo and footprint keys, the
+//! without re-interning a single value — and only when one of them needs
+//! the general evaluator: register projections such as
+//! `(c) <- ∃t Reg(c, t)` read the rows as they are
+//! ([`pt_logic::Query::project_register`]). The memo and footprint keys, the
 //! stop condition, and the configuration intern table all operate on
 //! symbols.
 //!
@@ -443,11 +465,27 @@ pub(crate) type PairId = u32;
 /// `(PairId, RegId)` pairs and memo lookup is O(1) in the register width.
 pub(crate) type RegId = u32;
 
+/// The part of a subtree's configurations its expansion can depend on:
+/// those whose own subtree holds a stopped leaf (see the module docs).
+/// `None` for a stop-free subtree, which depends on no ancestor at all.
+/// Shared by `Arc` between a memo entry and every hit that replays it.
+type Footprint = Option<Arc<FxHashSet<ConfigId>>>;
+
+/// One expanded (or replayed) subtree, as [`DagExpansion::expand`] hands it
+/// to the parent.
+struct Subtree {
+    node: Arc<ResultNode>,
+    footprint: Footprint,
+    /// Unfolded ξ-node count (for budget accounting).
+    size: usize,
+    /// [`MemoValidity`] read mask of every relation the subtree's queries
+    /// consulted.
+    rel_mask: u64,
+}
+
 /// One memoized expansion of a configuration.
 struct MemoEntry {
-    /// Every configuration encountered inside the expansion (including its
-    /// own): the only ancestors the stop condition could compare against.
-    footprint: FxHashSet<ConfigId>,
+    footprint: Footprint,
     /// `ancestors ∩ footprint` at expansion time, sorted.
     blocked: Vec<ConfigId>,
     node: Arc<ResultNode>,
@@ -462,6 +500,18 @@ struct MemoEntry {
     /// [`MemoValidity`] bucket mask of every base relation this subtree's
     /// queries read, plus the active-domain bit — the entry's read set.
     rel_mask: u64,
+}
+
+impl MemoEntry {
+    /// The entry's subtree, shared (node and footprint are `Arc` clones).
+    fn subtree(&self) -> Subtree {
+        Subtree {
+            node: Arc::clone(&self.node),
+            footprint: self.footprint.clone(),
+            size: self.size,
+            rel_mask: self.rel_mask,
+        }
+    }
 }
 
 /// Which database version last changed each relation *bucket* — the
@@ -548,15 +598,15 @@ impl MemoValidity {
 pub(crate) trait RegisterRepr: Clone + Eq + Hash + Send + Sync {
     /// The root configuration's (empty, nullary) register.
     fn root() -> Self;
-    /// Prepare the register once per configuration for all its rule-item
-    /// queries.
-    fn index(ctx: &EvalContext, reg: &Self) -> IndexedRegister;
-    /// The child registers one rule-item query spawns, in sibling (domain)
-    /// order.
+    /// The child registers one rule-item query spawns from `reg`, in
+    /// sibling (domain) order. `ireg` is the register indexed for the
+    /// general evaluator: built on first need and then shared by the
+    /// configuration's remaining rule items.
     fn groups(
         query: &Query,
         ctx: &EvalContext,
-        ireg: &IndexedRegister,
+        reg: &Self,
+        ireg: &mut Option<IndexedRegister>,
     ) -> Result<Vec<Self>, EvalError>;
     /// The value-level relation stored on the result node.
     fn materialize(ctx: &EvalContext, reg: &Self) -> Relation;
@@ -567,15 +617,17 @@ impl RegisterRepr for SymRegister {
         SymRegister::empty(0)
     }
 
-    fn index(ctx: &EvalContext, reg: &Self) -> IndexedRegister {
-        ctx.index_sym_register(reg)
-    }
-
     fn groups(
         query: &Query,
         ctx: &EvalContext,
-        ireg: &IndexedRegister,
+        reg: &Self,
+        ireg: &mut Option<IndexedRegister>,
     ) -> Result<Vec<Self>, EvalError> {
+        // register projections read the rows as they are: no index
+        if let Some(groups) = query.project_register(ctx, reg) {
+            return Ok(groups);
+        }
+        let ireg = ireg.get_or_insert_with(|| ctx.index_sym_register(reg));
         Ok(query
             .groups_sym(ctx, Some(ireg))?
             .into_iter()
@@ -593,15 +645,13 @@ impl RegisterRepr for Relation {
         Relation::new()
     }
 
-    fn index(ctx: &EvalContext, reg: &Self) -> IndexedRegister {
-        ctx.index_register(reg)
-    }
-
     fn groups(
         query: &Query,
         ctx: &EvalContext,
-        ireg: &IndexedRegister,
+        reg: &Self,
+        ireg: &mut Option<IndexedRegister>,
     ) -> Result<Vec<Self>, EvalError> {
+        let ireg = ireg.get_or_insert_with(|| ctx.index_register(reg));
         Ok(query
             .groups_indexed(ctx, Some(ireg))?
             .into_iter()
@@ -922,39 +972,52 @@ impl DagState {
         shard.read().unwrap().configs[(cid >> SHARD_BITS) as usize]
     }
 
-    /// Memo lookup under the current ancestor path: an entry is reusable iff
-    /// it is still valid for a run pinned at `version` (no relation bucket
-    /// in its read mask advanced past `min(version, entry.version)` —
-    /// see [`MemoValidity`]) *and* the ancestors intersect its footprint
-    /// exactly as the recorded ancestors did.
+    /// Memo lookup for a configuration *off* the ancestor path: an entry is
+    /// reusable iff it is still valid for a run pinned at `version` (no
+    /// relation bucket in its read mask advanced past
+    /// `min(version, entry.version)` — see [`MemoValidity`]) *and* the
+    /// ancestors intersect its footprint exactly as the recorded ancestors
+    /// did. A stop-free entry matches under any path. `path` and `on_path`
+    /// hold the same ancestors, as a sequence and as a set.
     fn lookup(
         &self,
         cid: ConfigId,
         path: &[ConfigId],
+        on_path: &FxHashSet<ConfigId>,
         version: u64,
         validity: &MemoValidity,
-    ) -> Option<(Arc<ResultNode>, FxHashSet<ConfigId>, usize, u64)> {
+    ) -> Option<Subtree> {
         let shard = self.shards[(cid as usize) & (SHARDS - 1)].read().unwrap();
-        for entry in &shard.entries[(cid >> SHARD_BITS) as usize] {
-            if !validity.valid(entry.rel_mask, version.min(entry.version)) {
-                continue;
-            }
-            let mut s_cap: Vec<ConfigId> = path
-                .iter()
-                .copied()
-                .filter(|c| entry.footprint.contains(c))
-                .collect();
-            s_cap.sort_unstable();
-            if s_cap == entry.blocked {
-                return Some((
-                    Arc::clone(&entry.node),
-                    entry.footprint.clone(),
-                    entry.size,
-                    entry.rel_mask,
-                ));
-            }
-        }
-        None
+        let entry = shard.entries[(cid >> SHARD_BITS) as usize]
+            .iter()
+            .find(|entry| {
+                validity.valid(entry.rel_mask, version.min(entry.version))
+                    && entry.footprint.as_ref().is_none_or(|fp| {
+                        // `blocked ⊆ footprint`, so the intersection equals
+                        // `blocked` iff all of it is on the path and the
+                        // intersection is no larger; count it from the
+                        // smaller side
+                        let meets = if path.len() <= fp.len() {
+                            path.iter().filter(|c| fp.contains(c)).count()
+                        } else {
+                            fp.iter().filter(|c| on_path.contains(c)).count()
+                        };
+                        meets == entry.blocked.len()
+                            && entry.blocked.iter().all(|c| on_path.contains(c))
+                    })
+            })?;
+        Some(entry.subtree())
+    }
+
+    /// The stopped leaf already built for `cid`, if any: the configuration
+    /// is on the ancestor path, and only its stopped-leaf entry answers
+    /// that (a stopped leaf reads no relation, so it never goes stale).
+    fn stopped_leaf(&self, cid: ConfigId) -> Option<Subtree> {
+        let shard = self.shards[(cid as usize) & (SHARDS - 1)].read().unwrap();
+        shard.entries[(cid >> SHARD_BITS) as usize]
+            .iter()
+            .find(|entry| entry.node.stopped)
+            .map(MemoEntry::subtree)
     }
 
     /// Publish one expansion (the entry's generation stamp is set here);
@@ -1284,45 +1347,39 @@ impl<'x, 't, R: RegisterRepr> DagExpansion<'x, 't, R> {
     /// session's first run, replaying its memo entry afterwards.
     fn run_root(&self) -> Result<Arc<ResultNode>, RunError> {
         let root_cid = self.config_id(0, R::root());
-        let (root, _, _, _) = self.expand(
+        let root = self.expand(
             root_cid,
             &mut Vec::new(),
             &mut FxHashSet::default(),
             next_token(),
         )?;
-        Ok(root)
+        Ok(root.node)
     }
 
     /// Expand configuration `cid` under the ancestor path `path` /
-    /// `on_path`, returning the (possibly shared) subtree, its footprint,
-    /// its unfolded size, and the [`MemoValidity`] read mask of every
-    /// relation the subtree's queries consulted. `token` identifies the
-    /// logical expansion thread for the publish-or-wait protocol (one per
-    /// run root and per fanned-out job).
+    /// `on_path` (the same ancestors as a sequence and as a set), returning
+    /// the (possibly shared) subtree. `token` identifies the logical
+    /// expansion thread for the publish-or-wait protocol (one per run root
+    /// and per fanned-out job).
     fn expand(
         &self,
         cid: ConfigId,
         path: &mut Vec<ConfigId>,
         on_path: &mut FxHashSet<ConfigId>,
         token: u64,
-    ) -> Result<(Arc<ResultNode>, FxHashSet<ConfigId>, usize, u64), RunError> {
-        // memo lookup: an entry is reusable iff it is still valid at this
-        // run's pinned version and the current ancestors intersect its
-        // footprint exactly as the recorded ancestors did
-        if let Some((node, footprint, size, mask)) =
-            self.state.lookup(cid, path, self.version, self.validity)
-        {
-            self.charge(size)?;
-            return Ok((node, footprint, size, mask));
-        }
-
+    ) -> Result<Subtree, RunError> {
         // stop condition (Section 3, condition (1)): an ancestor with the
-        // same state, tag and register seals this leaf. Checked *before*
-        // claiming — the ancestor expansion of `cid` holds the claim, so
-        // claiming here would self-deadlock; the leaf publishes unclaimed
-        // (insert deduplicates the racing copies)
+        // same state, tag and register seals this leaf. Checked before the
+        // lookup — on the path, only the stopped-leaf entry can answer (an
+        // expanded entry holds `cid` in its footprint but not in `blocked`)
+        // — and *before* claiming: the ancestor expansion of `cid` holds
+        // the claim, so claiming here would self-deadlock; the leaf
+        // publishes unclaimed (insert deduplicates the racing copies)
         if on_path.contains(&cid) {
             self.charge(1)?;
+            if let Some(leaf) = self.state.stopped_leaf(cid) {
+                return Ok(leaf);
+            }
             let (pair, reg_id) = self.state.config(cid);
             // Arc clone only: the interned register is never copied
             let register = self.regs.read().unwrap().arc(reg_id);
@@ -1334,7 +1391,7 @@ impl<'x, 't, R: RegisterRepr> DagExpansion<'x, 't, R> {
                 children: Vec::new(),
                 stopped: true,
             });
-            let footprint: FxHashSet<ConfigId> = [cid].into_iter().collect();
+            let footprint: Footprint = Some(Arc::new([cid].into_iter().collect()));
             // a stopped leaf evaluates no query — its value depends only on
             // the path intersection, so its read mask is empty
             self.state.insert(
@@ -1349,7 +1406,23 @@ impl<'x, 't, R: RegisterRepr> DagExpansion<'x, 't, R> {
                     rel_mask: 0,
                 },
             );
-            return Ok((node, footprint, 1, 0));
+            return Ok(Subtree {
+                node,
+                footprint,
+                size: 1,
+                rel_mask: 0,
+            });
+        }
+
+        // memo lookup: an entry is reusable iff it is still valid at this
+        // run's pinned version and the current ancestors intersect its
+        // footprint exactly as the recorded ancestors did
+        if let Some(hit) = self
+            .state
+            .lookup(cid, path, on_path, self.version, self.validity)
+        {
+            self.charge(hit.size)?;
+            return Ok(hit);
         }
 
         // publish-or-wait: claim the cold slot or park until its owner
@@ -1371,11 +1444,12 @@ impl<'x, 't, R: RegisterRepr> DagExpansion<'x, 't, R> {
                     // unless our ancestor path intersects the footprint
                     // differently (or a bounded memo evicted it), in which
                     // case we go around and claim the slot ourselves
-                    if let Some((node, footprint, size, mask)) =
-                        self.state.lookup(cid, path, self.version, self.validity)
+                    if let Some(hit) =
+                        self.state
+                            .lookup(cid, path, on_path, self.version, self.validity)
                     {
-                        self.charge(size)?;
-                        return Ok((node, footprint, size, mask));
+                        self.charge(hit.size)?;
+                        return Ok(hit);
                     }
                 }
                 Claim::Fallback => {
@@ -1397,7 +1471,7 @@ impl<'x, 't, R: RegisterRepr> DagExpansion<'x, 't, R> {
         path: &mut Vec<ConfigId>,
         on_path: &mut FxHashSet<ConfigId>,
         token: u64,
-    ) -> Result<(Arc<ResultNode>, FxHashSet<ConfigId>, usize, u64), RunError> {
+    ) -> Result<Subtree, RunError> {
         self.charge(1)?;
         self.state.expansions.fetch_add(1, Ordering::Relaxed);
         let (pair, reg_id) = self.state.config(cid);
@@ -1409,21 +1483,33 @@ impl<'x, 't, R: RegisterRepr> DagExpansion<'x, 't, R> {
         let pairs: &'x PairTable<'t> = self.pairs;
         let items = &pairs.items[pair as usize];
         let mut children = Vec::new();
-        let mut footprint: FxHashSet<ConfigId> = [cid].into_iter().collect();
+        // the union of the children's footprints; stays `None` while every
+        // child subtree is stop-free
+        let mut footprint: Option<FxHashSet<ConfigId>> = None;
         let mut size = 1usize;
         let mut rel_mask = pairs.masks[pair as usize];
+        let mut add_child = |sub: Subtree| {
+            children.push(sub.node);
+            if let Some(fp) = sub.footprint {
+                footprint
+                    .get_or_insert_with(FxHashSet::default)
+                    .extend(fp.iter().copied());
+            }
+            size += sub.size;
+            rel_mask |= sub.rel_mask;
+        };
         if !items.is_empty() {
-            // the register is indexed once per configuration; every query
-            // of every rule item reuses the same handle
-            let ireg = R::index(self.ctx, &register);
             path.push(cid);
             on_path.insert(cid);
             // resolve every child configuration first (queries evaluate on
-            // this thread; `groups` fixes the sibling/domain order)
+            // this thread; `groups` fixes the sibling/domain order); the
+            // register is indexed at most once per configuration, by the
+            // first rule item that needs the general evaluator
+            let mut ireg = None;
             let mut child_cids: Vec<ConfigId> = Vec::new();
             for &(child_pair, query) in items {
                 // children grouped by x̄, ordered by the domain order
-                for group in R::groups(query, self.ctx, &ireg)? {
+                for group in R::groups(query, self.ctx, &register, &mut ireg)? {
                     child_cids.push(self.config_id(child_pair, group));
                 }
             }
@@ -1447,19 +1533,11 @@ impl<'x, 't, R: RegisterRepr> DagExpansion<'x, 't, R> {
                 // sequential-rerun fallback restores the exact oracle
                 // error when schedules could still disagree)
                 for result in results {
-                    let (node, fp, sz, mask) = result?;
-                    children.push(node);
-                    footprint.extend(fp);
-                    size += sz;
-                    rel_mask |= mask;
+                    add_child(result?);
                 }
             } else {
                 for child in child_cids {
-                    let (node, fp, sz, mask) = self.expand(child, path, on_path, token)?;
-                    children.push(node);
-                    footprint.extend(fp);
-                    size += sz;
-                    rel_mask |= mask;
+                    add_child(self.expand(child, path, on_path, token)?);
                 }
             }
             path.pop();
@@ -1472,12 +1550,18 @@ impl<'x, 't, R: RegisterRepr> DagExpansion<'x, 't, R> {
             children,
             stopped: false,
         });
-        let mut blocked: Vec<ConfigId> = path
-            .iter()
-            .copied()
-            .filter(|c| footprint.contains(c))
-            .collect();
-        blocked.sort_unstable();
+        // a stopped leaf below makes this configuration part of its own
+        // footprint; a stop-free subtree blocks no ancestor
+        let (footprint, blocked): (Footprint, Vec<ConfigId>) = match footprint {
+            None => (None, Vec::new()),
+            Some(mut fp) => {
+                fp.insert(cid);
+                let mut blocked: Vec<ConfigId> =
+                    path.iter().copied().filter(|c| fp.contains(c)).collect();
+                blocked.sort_unstable();
+                (Some(Arc::new(fp)), blocked)
+            }
+        };
         self.state.insert(
             cid,
             MemoEntry {
@@ -1490,7 +1574,12 @@ impl<'x, 't, R: RegisterRepr> DagExpansion<'x, 't, R> {
                 rel_mask,
             },
         );
-        Ok((node, footprint, size, rel_mask))
+        Ok(Subtree {
+            node,
+            footprint,
+            size,
+            rel_mask,
+        })
     }
 }
 

@@ -1036,6 +1036,22 @@ pub struct IndexedRegister {
     extras: Vec<Value>,
 }
 
+impl IndexedRegister {
+    /// The interned rows, for evaluation through `ctx`. Panics when the
+    /// register was indexed against another context: its symbols would
+    /// mean other values there.
+    pub(crate) fn relation_in(&self, ctx: &EvalContext) -> &SymRelation {
+        // lock-free provenance check: a context's overlay Arc is never
+        // replaced, so pointer identity pins the register to this context
+        // without touching the snapshot RwLock
+        assert!(
+            Arc::ptr_eq(&self.syms.overlay, &ctx.overlay),
+            "IndexedRegister used with a context other than its own"
+        );
+        &self.sym
+    }
+}
+
 /// A finite set of variable assignments: the result of evaluating a formula.
 ///
 /// Invariant: `vars` lists the formula's free variables (each exactly once);
@@ -1283,22 +1299,11 @@ impl Bindings {
     }
 
     /// Extend with every column of `target` not yet present, ranging over
-    /// `adom` (cylindrification).
-    pub fn cylindrify(&self, target: &[Var], adom: &[Value]) -> Bindings {
-        let adom_syms: Vec<Sym> = adom.iter().map(|v| self.syms.intern(v)).collect();
-        self.cylindrify_syms(target, &adom_syms)
-    }
-
-    /// [`Bindings::cylindrify`] over pre-interned domain symbols — the hot
-    /// path, which never touches `Value`s.
-    fn cylindrify_syms(&self, target: &[Var], adom_syms: &[Sym]) -> Bindings {
-        self.clone().cylindrify_syms_owned(target, adom_syms)
-    }
-
-    /// [`Bindings::cylindrify_syms`], consuming `self`: when no column is
-    /// missing (the common case for closed conjunction results) the
-    /// bindings pass through without cloning a single row.
-    fn cylindrify_syms_owned(self, target: &[Var], adom_syms: &[Sym]) -> Bindings {
+    /// the pre-interned domain symbols `adom_syms` (cylindrification),
+    /// consuming `self`: when no column is missing (the common case for
+    /// closed conjunction results) the bindings pass through without
+    /// cloning a single row.
+    fn cylindrify_syms(self, target: &[Var], adom_syms: &[Sym]) -> Bindings {
         let missing: Vec<Var> = target
             .iter()
             .filter(|v| self.col(v).is_none())
@@ -1324,18 +1329,12 @@ impl Bindings {
         Bindings::with_syms(vars, rows, self.syms)
     }
 
-    /// The complement: all assignments over `adom` for the same columns that
-    /// are not present.
-    pub fn complement(&self, adom: &[Value]) -> Bindings {
-        let adom_syms: Vec<Sym> = adom.iter().map(|v| self.syms.intern(v)).collect();
-        self.complement_syms(&adom_syms)
-    }
-
-    /// [`Bindings::complement`] over pre-interned domain symbols, without
-    /// materializing the `adom^k` universe: the present rows are sorted
-    /// once, and a mixed-radix odometer walks the universe in the same
-    /// ascending order, emitting exactly the tuples the present-row cursor
-    /// skips. Symbol order over the sorted domain is total, so one linear
+    /// The complement: all assignments over the pre-interned domain symbols
+    /// `adom_syms` for the same columns that are not present, computed
+    /// without materializing the `adom^k` universe: the present rows are
+    /// sorted once, and a mixed-radix odometer walks the universe in the
+    /// same ascending order, emitting exactly the tuples the present-row
+    /// cursor skips. Symbol order over the sorted domain is total, so one linear
     /// merge replaces the set-difference against a cylindrified universe
     /// (which cost `k` intermediate hash sets of size up to `adom^k`).
     fn complement_syms(&self, adom_syms: &[Sym]) -> Bindings {
@@ -1600,13 +1599,7 @@ impl<'a> Evaluator<'a> {
         // even if a concurrent `prepare` extends the context mid-run
         let syms = match register {
             Some(ireg) => {
-                // lock-free provenance check: a context's overlay Arc is
-                // never replaced, so pointer identity pins the register to
-                // this context without touching the snapshot RwLock
-                assert!(
-                    Arc::ptr_eq(&ireg.syms.overlay, &ctx.overlay),
-                    "IndexedRegister used with a context other than its own"
-                );
+                ireg.relation_in(ctx);
                 ireg.syms.clone()
             }
             None => ctx.shared_interner(),
@@ -1722,7 +1715,7 @@ impl<'a> Evaluator<'a> {
     /// Close `b` over the active domain: extend it with every missing
     /// column of `target` (cylindrification over pre-interned symbols).
     pub fn close(&self, b: Bindings, target: &[Var]) -> Bindings {
-        b.cylindrify_syms_owned(target, self.adom_syms())
+        b.cylindrify_syms(target, self.adom_syms())
     }
 
     /// Unit bindings carrying this evaluator's interner.

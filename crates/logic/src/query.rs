@@ -1,11 +1,12 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use pt_relational::intern::Sym;
 use pt_relational::{Instance, Relation, SymRegister, SymTuple, Tuple};
 
 use crate::eval::{EvalContext, EvalError, Evaluator, IndexedRegister};
 use crate::formula::{Formula, Fragment};
-use crate::term::Var;
+use crate::term::{Term, Var};
 
 /// A head-split query `φ(x̄; ȳ)` from Definition 3.1.
 ///
@@ -27,6 +28,57 @@ pub struct Query {
     /// evaluation never rebuilds formulas (no per-eval De Morgan pushes).
     /// Derived from `body`, so the derived `Eq`/`Hash` stay consistent.
     eval_body: Formula,
+    /// The column plan when the body is a plain register projection (see
+    /// [`RegisterProjection`]); derived from the head and `body`, like
+    /// `eval_body`.
+    projection: Option<RegisterProjection>,
+}
+
+/// The column plan of a *register projection*: a body `Reg(v̄)` or
+/// `∃w̄ Reg(v̄)` whose atom holds pairwise-distinct variables only, every
+/// one of them either a head variable or bound by the `∃`. Such a query
+/// just projects the register's rows — `cols[i]` is the register column
+/// read into head position `i` — so [`Query::groups_sym`] answers it
+/// without the general evaluator: no bindings, no hash sets, no domain
+/// closure. Repeated variables, constants and vacuous or repeated binders
+/// are not projections and keep the evaluator.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct RegisterProjection {
+    /// The atom's arity; a register of another arity goes to the evaluator
+    /// (which reports the mismatch).
+    arity: usize,
+    cols: Vec<usize>,
+}
+
+impl RegisterProjection {
+    fn recognise(head: &[Var], body: &Formula) -> Option<Self> {
+        let mut bound: Vec<&Var> = Vec::new();
+        let mut f = body;
+        while let Formula::Exists(vs, g) = f {
+            bound.extend(vs);
+            f = g;
+        }
+        let Formula::Reg(args) = f else {
+            return None;
+        };
+        let vars: Vec<&Var> = args.iter().map(Term::as_var).collect::<Option<_>>()?;
+        // the head and the binders must partition the atom's variables.
+        // The body's free variables are exactly the head, so once the atom's
+        // variables are pairwise distinct the count alone rules out binders
+        // that repeat or bind nothing (an empty domain falsifies a vacuous ∃)
+        let distinct = (1..vars.len()).all(|i| !vars[..i].contains(&vars[i]));
+        if !distinct || head.len() + bound.len() != vars.len() {
+            return None;
+        }
+        let cols = head
+            .iter()
+            .map(|h| vars.iter().position(|v| *v == h))
+            .collect::<Option<_>>()?;
+        Some(RegisterProjection {
+            arity: args.len(),
+            cols,
+        })
+    }
 }
 
 impl Query {
@@ -54,11 +106,14 @@ impl Query {
         let extra: Vec<Var> = free.into_iter().filter(|v| !seen.contains(v)).collect();
         let body = Formula::exists(extra, body);
         let eval_body = body.pushed();
+        let head: Vec<Var> = group_vars.iter().chain(&rest_vars).cloned().collect();
+        let projection = RegisterProjection::recognise(&head, &body);
         Ok(Query {
             group_vars,
             rest_vars,
             body,
             eval_body,
+            projection,
         })
     }
 
@@ -182,12 +237,27 @@ impl Query {
     /// and return the groups as canonical [`SymRegister`]s over the
     /// context's interner, sorted by the group key `d̄` in the domain order.
     /// No `Value` is resolved, hashed, or cloned anywhere on this path —
-    /// the transducer's configuration-expansion hot loop.
+    /// the transducer's configuration-expansion hot loop. A register
+    /// projection (`(x) <- ∃y Reg(x, y)` and the like) skips the evaluator
+    /// and projects the register's rows directly, like
+    /// [`Query::project_register`].
     pub fn groups_sym(
         &self,
         ctx: &EvalContext,
         register: Option<&IndexedRegister>,
     ) -> Result<Vec<(SymTuple, SymRegister)>, EvalError> {
+        if let (Some(plan), Some(ireg)) = (&self.projection, register) {
+            let srel = ireg.relation_in(ctx);
+            if srel.arity() == Some(plan.arity) {
+                let k = self.group_vars.len();
+                let rows = srel.rows().iter().map(|row| &row[..]);
+                return Ok(self
+                    .project_rows(plan, ctx, rows)
+                    .into_iter()
+                    .map(|reg| (SymTuple::from(&reg.data()[..k]), reg))
+                    .collect());
+            }
+        }
         let ev = Evaluator::with_register(ctx, register, &self.eval_body);
         let head = self.head_vars();
         let b = ev.eval(&self.eval_body)?;
@@ -215,6 +285,52 @@ impl Query {
             }
         }
         Ok(out)
+    }
+
+    /// The child registers of a register-projection query, computed from
+    /// `register`'s rows alone — what [`Query::groups_sym`] returns for it,
+    /// keys dropped, without indexing the register or running the
+    /// evaluator. `None` when the body is not a plain projection of `Reg`
+    /// or the register's arity differs from the atom's: such queries need
+    /// [`Query::groups_sym`].
+    pub fn project_register(
+        &self,
+        ctx: &EvalContext,
+        register: &SymRegister,
+    ) -> Option<Vec<SymRegister>> {
+        let plan = self.projection.as_ref()?;
+        if register.arity() != plan.arity {
+            return None;
+        }
+        Some(self.project_rows(plan, ctx, register.rows()))
+    }
+
+    /// Project `rows` through `plan`, sort the result in the domain order,
+    /// drop duplicates, and cut it into one register per group key.
+    fn project_rows<'r>(
+        &self,
+        plan: &RegisterProjection,
+        ctx: &EvalContext,
+        rows: impl Iterator<Item = &'r [Sym]>,
+    ) -> Vec<SymRegister> {
+        let mut rows: Vec<SymTuple> = rows
+            .map(|row| plan.cols.iter().map(|&c| row[c]).collect())
+            .collect();
+        ctx.sort_rows_in_domain_order(&mut rows);
+        rows.dedup();
+        let k = self.group_vars.len();
+        let mut out: Vec<SymRegister> = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            match out.last_mut() {
+                Some(reg) if rows[i - 1][..k] == row[..k] => reg.push_row(row),
+                _ => {
+                    let mut reg = SymRegister::with_capacity(plan.cols.len(), 1);
+                    reg.push_row(row);
+                    out.push(reg);
+                }
+            }
+        }
+        out
     }
 
     fn group_rows(&self, rows: Relation) -> Vec<(Tuple, Relation)> {
